@@ -761,7 +761,9 @@ let figures_run level file strategy radius svg_dir =
       each_nest file (fun nest ->
       incr nest_index;
       let plan = Cf_pipeline.Pipeline.plan ~strategy ?search_radius:radius nest in
-      let partition = plan.Cf_pipeline.Pipeline.partition in
+      let partition =
+        Cf_core.Iter_partition.make nest plan.Cf_pipeline.Pipeline.space
+      in
       List.iter
         (fun a ->
           print_string (Cf_report.Figures.data_space nest a);
@@ -903,7 +905,9 @@ let allocate_run level file strategy radius procs =
             Cf_pipeline.Pipeline.plan ~strategy ?search_radius:radius nest
           in
           print_string
-            (Cf_report.Allocmap.render plan.Cf_pipeline.Pipeline.partition
+            (Cf_report.Allocmap.render
+               (Cf_core.Iter_partition.make nest
+                  plan.Cf_pipeline.Pipeline.space)
                ~placement:(Cf_exec.Parexec.cyclic ~nprocs:procs)
                ~nprocs:procs)))
 

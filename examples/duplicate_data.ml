@@ -41,17 +41,16 @@ end
     (Cf_pipeline.Pipeline.block_count dup);
 
   (* How much data gets replicated (Fig. 4). *)
-  let dp =
-    Cf_core.Data_partition.make nest dup.Cf_pipeline.Pipeline.partition "A"
+  let partition =
+    Cf_core.Iter_partition.make nest dup.Cf_pipeline.Pipeline.space
   in
+  let dp = Cf_core.Data_partition.make nest partition "A" in
   Format.printf
     "array A: %d distinct elements touched, %d stored copies after \
      replication@."
     (List.length (Cf_core.Data_partition.elements dp))
     (Cf_core.Data_partition.total_copy_count dp);
-  print_string
-    (Cf_report.Figures.data_partition nest dup.Cf_pipeline.Pipeline.partition
-       "A");
+  print_string (Cf_report.Figures.data_partition nest partition "A");
 
   (* All 16 iterations in parallel on 8 processors, 2 each. *)
   let sim = Cf_pipeline.Pipeline.simulate ~procs:8 dup in

@@ -28,11 +28,11 @@ end
   Format.printf "%a@." Cf_pipeline.Pipeline.describe plan;
 
   (* 3. The partition in pictures: 7 diagonal blocks, exactly Fig. 3. *)
-  print_string
-    (Cf_report.Figures.iteration_partition plan.Cf_pipeline.Pipeline.partition);
-  print_string
-    (Cf_report.Figures.data_partition nest plan.Cf_pipeline.Pipeline.partition
-       "A");
+  let partition =
+    Cf_core.Iter_partition.make nest plan.Cf_pipeline.Pipeline.space
+  in
+  print_string (Cf_report.Figures.iteration_partition partition);
+  print_string (Cf_report.Figures.data_partition nest partition "A");
 
   (* 4. Execute on a simulated machine.  Every array element access is
      checked against the owning processor's local memory, and the final

@@ -61,7 +61,8 @@ end
     Cf_pipeline.Pipeline.plan ~strategy:Cf_core.Strategy.Min_duplicate nest
   in
   print_string
-    (Cf_report.Figures.iteration_partition plan.Cf_pipeline.Pipeline.partition);
+    (Cf_report.Figures.iteration_partition
+       (Cf_core.Iter_partition.make nest plan.Cf_pipeline.Pipeline.space));
   let sim = Cf_pipeline.Pipeline.simulate ~procs:4 plan in
   if Cf_exec.Parexec.ok sim.Cf_pipeline.Pipeline.report then
     print_endline

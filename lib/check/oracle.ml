@@ -31,16 +31,15 @@ let plan_vs_verify nest =
   go Strategy.all
 
 (* coset-parity: the closed-form index against the materialized
-   partition, block by block and member by member. *)
+   partition, block by block and member by member, on the two theorem
+   spaces and on every candidate space of the fallback tier. *)
 
 let coset_parity nest =
-  let check_space strategy =
-    let psi = Strategy.partitioning_space strategy nest in
+  let check_space (label, psi) =
     let ip = Iter_partition.make nest psi in
     let cs = Coset.make nest psi in
     if Iter_partition.block_count ip <> Coset.block_count cs then
-      failf "strategy %a: %d blocks materialized vs %d indexed" Strategy.pp
-        strategy
+      failf "%s: %d blocks materialized vs %d indexed" label
         (Iter_partition.block_count ip)
         (Coset.block_count cs)
     else
@@ -51,18 +50,17 @@ let coset_parity nest =
           let b = blocks.(k) in
           let c = Coset.block cs ~id:b.Iter_partition.id in
           if c.Coset.base <> b.Iter_partition.base then
-            failf "strategy %a: block %d base differs" Strategy.pp strategy
-              b.Iter_partition.id
+            failf "%s: block %d base differs" label b.Iter_partition.id
           else if c.Coset.size <> List.length b.Iter_partition.iterations then
-            failf "strategy %a: block %d size %d vs %d" Strategy.pp strategy
-              b.Iter_partition.id c.Coset.size
+            failf "%s: block %d size %d vs %d" label b.Iter_partition.id
+              c.Coset.size
               (List.length b.Iter_partition.iterations)
           else if
             Coset.block_iterations cs ~id:b.Iter_partition.id
             <> b.Iter_partition.iterations
           then
-            failf "strategy %a: block %d member enumeration differs"
-              Strategy.pp strategy b.Iter_partition.id
+            failf "%s: block %d member enumeration differs" label
+              b.Iter_partition.id
           else
             match
               List.find_opt
@@ -71,16 +69,29 @@ let coset_parity nest =
                 b.Iter_partition.iterations
             with
             | Some it ->
-              failf "strategy %a: iteration %a in B%d maps to B%d" Strategy.pp
-                strategy Cf_linalg.Vec.pp_int it b.Iter_partition.id
+              failf "%s: iteration %a in B%d maps to B%d" label
+                Cf_linalg.Vec.pp_int it b.Iter_partition.id
                 (Coset.block_id_of_iteration cs it)
             | None -> go (k + 1)
       in
       go 0
   in
-  match check_space Strategy.Nonduplicate with
-  | Pass -> check_space Strategy.Duplicate
-  | v -> v
+  let theorem strategy =
+    ( Format.asprintf "strategy %a" Strategy.pp strategy,
+      Strategy.partitioning_space strategy nest )
+  in
+  let candidate (c : Cf_mincomm.Mincomm.candidate) =
+    ("candidate " ^ c.Cf_mincomm.Mincomm.origin, c.Cf_mincomm.Mincomm.space)
+  in
+  let rec go = function
+    | [] -> Pass
+    | space :: rest -> (
+      match check_space space with Pass -> go rest | v -> v)
+  in
+  go
+    (theorem Strategy.Nonduplicate
+    :: theorem Strategy.Duplicate
+    :: List.map candidate (Cf_mincomm.Mincomm.candidates nest))
 
 (* parexec-vs-seq: both parallel engines against the sequential golden
    run, and against each other (identical per-PE iteration counts). *)
@@ -97,12 +108,12 @@ let parexec_vs_seq nest =
     let r1 =
       Cf_exec.Parexec.execute ?exact:plan.Cf_pipeline.Pipeline.exact
         ~machine:(machine ()) ~placement ~strategy
-        plan.Cf_pipeline.Pipeline.partition
+        (Iter_partition.make nest plan.Cf_pipeline.Pipeline.space)
     in
-    let coset = Coset.make nest plan.Cf_pipeline.Pipeline.space in
     let r2 =
       Cf_exec.Parexec.execute_indexed ?exact:plan.Cf_pipeline.Pipeline.exact
-        ~domains:1 ~machine:(machine ()) ~placement ~strategy coset
+        ~domains:1 ~machine:(machine ()) ~placement ~strategy
+        plan.Cf_pipeline.Pipeline.coset
     in
     if not (Cf_exec.Parexec.ok r1) then
       failf "strategy %a: materialized engine diverges from sequential"

@@ -26,7 +26,9 @@ val all : t list
       {!Cf_core.Verify.check_strategy} on the concrete iteration space;
     - [coset-parity]: closed-form {!Cf_core.Coset} indexing is
       bit-for-bit identical to the materialized
-      {!Cf_core.Iter_partition} oracle (ids, bases, sizes, members);
+      {!Cf_core.Iter_partition} oracle (ids, bases, sizes, members) on
+      the Theorem 1 and 2 spaces and on every
+      {!Cf_mincomm.Mincomm.candidates} space;
     - [parexec-vs-seq]: the materialized and the indexed parallel
       engines both reproduce the sequential interpreter, with identical
       per-PE iteration counts;

@@ -150,6 +150,11 @@ let make nest space =
     index;
   }
 
+let relabel t nest =
+  if Nest.depth nest <> Subspace.ambient_dim t.space then
+    invalid_arg "Coset.relabel: nest depth mismatch";
+  { t with nest }
+
 let nest t = t.nest
 let space t = t.space
 let blocks t = Array.to_list t.blocks

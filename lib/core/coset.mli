@@ -18,7 +18,10 @@
     space to assign the oracle's 1-based, base-point-ordered block ids
     (O(#blocks) memory, nothing per-iteration).  Numbering, base points,
     sizes, and member order are bit-for-bit identical to
-    {!Iter_partition}, which remains the reference oracle in tests. *)
+    {!Iter_partition}, which remains the reference oracle in tests.
+
+    This is the partition the planner ([Cf_pipeline.Pipeline]), the
+    fallback tier and both execution paths of the product use. *)
 
 open Cf_linalg
 open Cf_loop
@@ -32,6 +35,13 @@ type t
 val make : Nest.t -> Subspace.t -> t
 (** [make nest psi] builds the index.  Raises [Invalid_argument] when
     the subspace's ambient dimension differs from the nest depth. *)
+
+val relabel : t -> Nest.t -> t
+(** [relabel t nest] is [t] with the embedded nest replaced — for
+    returning a memoized index under the caller's identifier names.
+    [nest] must be the same nest modulo renaming (the numeric index is
+    reused untouched); only the depth is checked.  Raises
+    [Invalid_argument] on a depth mismatch. *)
 
 val nest : t -> Nest.t
 val space : t -> Subspace.t

@@ -62,11 +62,6 @@ let make nest space =
     blocks;
   { nest; space; complement_rows; blocks; index; members }
 
-let relabel t nest =
-  if Nest.depth nest <> Subspace.ambient_dim t.space then
-    invalid_arg "Iter_partition.relabel: nest depth mismatch";
-  { t with nest }
-
 let nest t = t.nest
 let space t = t.space
 let blocks t = t.blocks

@@ -4,9 +4,11 @@
     materialized by enumerating the iteration space and keying each
     iteration by a canonical label of its coset of [Ψ]; they are numbered
     in lexicographic order of their base points (the paper's [B_1..B_q]).
-    Materialization is meant for analysis-scale spaces — production
-    execution derives per-processor iteration sets from the transformed
-    loop instead. *)
+    Materialization is meant for analysis-scale spaces: verification,
+    figures and the differential oracles.  The planner and both
+    execution paths use the closed-form {!Coset} index; this module is
+    its reference (the [coset-parity] oracle compares the two block for
+    block). *)
 
 open Cf_linalg
 
@@ -21,13 +23,6 @@ type t
 val make : Cf_loop.Nest.t -> Subspace.t -> t
 (** Raises [Invalid_argument] when [Ψ]'s ambient dimension differs from
     the nest depth. *)
-
-val relabel : t -> Cf_loop.Nest.t -> t
-(** [relabel t nest] is [t] with the embedded nest replaced — for
-    returning a memoized partition under the caller's identifier names.
-    [nest] must be the same nest modulo renaming (the numeric blocks are
-    reused untouched); only the depth is checked.  Raises
-    [Invalid_argument] on a depth mismatch. *)
 
 val nest : t -> Cf_loop.Nest.t
 val space : t -> Subspace.t

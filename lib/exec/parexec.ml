@@ -1006,8 +1006,8 @@ let execute_indexed ?(backend = `Compiled) ?(init = Seqexec.default_init)
    rule drives [Cf_mincomm]'s volume estimator, so predicted and
    simulated message counts agree exactly. *)
 
-let fallback_homes ~placement partition =
-  let nest = Iter_partition.nest partition in
+let fallback_homes ~placement coset =
+  let nest = Coset.nest coset in
   let prog = Compile.make nest in
   let arr_names = Compile.arrays prog in
   let stmts = Compile.stmts prog in
@@ -1025,7 +1025,7 @@ let fallback_homes ~placement partition =
       stmts
   in
   Nest.iter_space nest (fun iter ->
-      let pe = placement (Iter_partition.block_id_of_iteration partition iter) in
+      let pe = placement (Coset.block_id_of_iteration coset iter) in
       for si = 0 to nstmts - 1 do
         let sp = stmts.(si) in
         let lscr, rscr = scratch.(si) in
@@ -1042,7 +1042,7 @@ let fallback_homes ~placement partition =
 
 let execute_fallback ?(backend = `Compiled) ?(init = Seqexec.default_init)
     ?(scalar = Seqexec.default_scalar) ?(charge_distribution = false)
-    ?(validate = true) ?(checkpoint_every = 0) ~machine ~placement partition =
+    ?(validate = true) ?(checkpoint_every = 0) ~machine ~placement coset =
   if Machine.faults machine <> None then
     invalid_arg "Parexec.execute_fallback: fault plans are unsupported";
   if checkpoint_every < 0 then
@@ -1054,8 +1054,8 @@ let execute_fallback ?(backend = `Compiled) ?(init = Seqexec.default_init)
       invalid_arg "Parexec.execute_fallback: placement outside the machine";
     pe
   in
-  let nest = Iter_partition.nest partition in
-  let homes = fallback_homes ~placement:block_pe partition in
+  let nest = Coset.nest coset in
+  let homes = fallback_homes ~placement:block_pe coset in
   (* Allocation: one home copy per element, plain array names — either
      free of charge or as one pipelined host message per (PE, array). *)
   Array.iter
@@ -1091,9 +1091,7 @@ let execute_fallback ?(backend = `Compiled) ?(init = Seqexec.default_init)
           tbl)
     homes;
   Machine.compact machine;
-  let pe_of iter =
-    block_pe (Iter_partition.block_id_of_iteration partition iter)
-  in
+  let pe_of iter = block_pe (Coset.block_id_of_iteration coset iter) in
   (* The sequential walk has no rounds, so the cadence is measured in
      iterations: every [checkpoint_every] dispatches a delta checkpoint
      captures the writes since the previous one.  Capture never swaps

@@ -61,7 +61,12 @@ val execute :
   strategy:Strategy.t ->
   Iter_partition.t ->
   report
-(** Allocates local copies (free of charge — distribution-cost
+(** The materialized reference engine.  It stays as the differential
+    oracle for {!execute_indexed} (the [parexec-vs-seq] oracle in
+    [cf_check]) and for analysis-scale reports; the planner's
+    simulation runs {!execute_indexed}.
+
+    Allocates local copies (free of charge — distribution-cost
     experiments pre-place data with the host primitives and pass
     [~allocate:false], making any gap in the distribution surface as a
     remote access), executes, merges, validates.  For the minimal
@@ -147,7 +152,7 @@ val execute_indexed :
 
 val fallback_homes :
   placement:placement ->
-  Iter_partition.t ->
+  Coset.t ->
   (string * (int, int) Hashtbl.t) array
 (** The home map of a fallback plan: for every array (in
     {!Compile.arrays} order) a table from packed element coordinates
@@ -167,7 +172,7 @@ val execute_fallback :
   ?checkpoint_every:int ->
   machine:Cf_machine.Machine.t ->
   placement:placement ->
-  Iter_partition.t ->
+  Coset.t ->
   report
 (** End-to-end execution of a {e fallback} (not communication-free)
     partition: places one home copy of every accessed element under its

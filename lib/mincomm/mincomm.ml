@@ -21,7 +21,7 @@ type t = {
   theorems : verdict list;
   comm_free : bool;
   choice : candidate;
-  partition : Iter_partition.t;
+  partition : Coset.t;
   estimate : estimate;
   ranked : (candidate * estimate) list;
 }
@@ -37,26 +37,28 @@ let theorem_number = function
    enough to enumerate. *)
 let exact_analysis_limit = 100_000
 
-let theorem_verdicts ?search_radius nest =
+(* Every theorem's partitioning space, computed once per plan; [None]
+   when exact analysis was skipped or the computation failed.  The
+   planner's own [exact] is reused only under the enumeration limit, so
+   the verdicts do not depend on whether it was supplied. *)
+let theorem_spaces ?search_radius ?exact nest =
   let exact =
-    if Nest.cardinal nest <= exact_analysis_limit then
-      try Some (Cf_dep.Exact.analyze nest) with _ -> None
-    else None
+    if Nest.cardinal nest > exact_analysis_limit then None
+    else
+      match exact with
+      | Some _ -> exact
+      | None -> ( try Some (Cf_dep.Exact.analyze nest) with _ -> None)
   in
   List.map
     (fun strategy ->
-      let parallelism =
+      ( strategy,
         if Strategy.uses_exact_analysis strategy && Option.is_none exact then
           None
         else
           try
             Some
-              (Strategy.parallelism_degree
-                 (Strategy.partitioning_space ?search_radius ?exact strategy
-                    nest))
-          with _ -> None
-      in
-      { strategy; parallelism })
+              (Strategy.partitioning_space ?search_radius ?exact strategy nest)
+          with _ -> None ))
     Strategy.all
 
 (* {2 Candidate subspaces}
@@ -66,7 +68,7 @@ let theorem_verdicts ?search_radius nest =
    predicted volume, ranking (messages, dim, origin) still has a
    deterministic winner; duplicates keep their first origin. *)
 
-let candidates ?search_radius nest =
+let candidates_of ?search_radius ~theorem_1 ~theorem_2 nest =
   let n = Nest.depth nest in
   let arrays = Nest.arrays nest in
   let acc = ref [] in
@@ -76,10 +78,8 @@ let candidates ?search_radius nest =
       && not (List.exists (fun c -> Subspace.equal c.space space) !acc)
     then acc := { origin; space } :: !acc
   in
-  add "theorem-1"
-    (Strategy.partitioning_space ?search_radius Strategy.Nonduplicate nest);
-  add "theorem-2"
-    (Strategy.partitioning_space ?search_radius Strategy.Duplicate nest);
+  add "theorem-1" theorem_1;
+  add "theorem-2" theorem_2;
   let psi =
     List.map
       (fun a ->
@@ -133,6 +133,11 @@ let candidates ?search_radius nest =
   add "free" (Subspace.zero n);
   List.rev !acc
 
+let candidates ?search_radius nest =
+  let space s = Strategy.partitioning_space ?search_radius s nest in
+  candidates_of ?search_radius ~theorem_1:(space Strategy.Nonduplicate)
+    ~theorem_2:(space Strategy.Duplicate) nest
+
 (* {2 First-touch volume estimator}
 
    One pass over the iteration space in execution order.  An element's
@@ -143,8 +148,8 @@ let candidates ?search_radius nest =
    followed by [Seqexec.run_placed]'s servicing rule, which is why
    predicted counts equal simulated ones. *)
 
-let estimate_partition ~placement partition =
-  let nest = Iter_partition.nest partition in
+let estimate_partition ~placement coset =
+  let nest = Coset.nest coset in
   let prog = Compile.make nest in
   let stmts = Compile.stmts prog in
   let nstmts = Array.length stmts in
@@ -153,7 +158,7 @@ let estimate_partition ~placement partition =
       (fun _ -> (Hashtbl.create 64 : (int, int) Hashtbl.t))
       (Compile.arrays prog)
   in
-  let per_block = Array.make (Iter_partition.block_count partition) 0 in
+  let per_block = Array.make (Coset.block_count coset) 0 in
   let rr = ref 0 and rw = ref 0 in
   let scratch =
     Array.map
@@ -165,7 +170,7 @@ let estimate_partition ~placement partition =
       stmts
   in
   Nest.iter_space nest (fun iter ->
-      let block = Iter_partition.block_id_of_iteration partition iter in
+      let block = Coset.block_id_of_iteration coset iter in
       let pe = placement block in
       for si = 0 to nstmts - 1 do
         let sp = stmts.(si) in
@@ -190,29 +195,37 @@ let estimate_partition ~placement partition =
 let estimate ~nprocs nest space =
   estimate_partition
     ~placement:(Parexec.cyclic ~nprocs)
-    (Iter_partition.make nest space)
+    (Coset.make nest space)
 
-let plan ?search_radius ?(nprocs = 4) nest =
+let plan ?search_radius ?exact ?(nprocs = 4) nest =
   if nprocs < 1 then invalid_arg "Mincomm.plan: nprocs must be positive";
   if Nest.cardinal nest = 0 then
     invalid_arg "Mincomm.plan: empty iteration space";
   if not (Nest.all_uniformly_generated nest) then
     invalid_arg "Mincomm.plan: arrays must be uniformly generated";
-  let theorems = theorem_verdicts ?search_radius nest in
-  let psi_nd =
-    Strategy.partitioning_space ?search_radius Strategy.Nonduplicate nest
+  let spaces = theorem_spaces ?search_radius ?exact nest in
+  (* Theorems 1 and 2 need no exact analysis, so [None] means their
+     computation failed: recomputing re-raises the failure. *)
+  let space strategy =
+    match List.assoc strategy spaces with
+    | Some s -> s
+    | None -> Strategy.partitioning_space ?search_radius strategy nest
   in
+  let psi_nd = space Strategy.Nonduplicate in
   let comm_free = Strategy.parallelism_degree psi_nd > 0 in
   let cands =
     if comm_free then [ { origin = "theorem-1"; space = psi_nd } ]
-    else candidates ?search_radius nest
+    else
+      candidates_of ?search_radius ~theorem_1:psi_nd
+        ~theorem_2:(space Strategy.Duplicate)
+        nest
   in
   let placement = Parexec.cyclic ~nprocs in
   let evaluated =
     List.map
       (fun c ->
-        let partition = Iter_partition.make nest c.space in
-        (c, partition, estimate_partition ~placement partition))
+        let coset = Coset.make nest c.space in
+        (c, coset, estimate_partition ~placement coset))
       cands
   in
   let sorted =
@@ -231,7 +244,7 @@ let plan ?search_radius ?(nprocs = 4) nest =
   let choice, partition, estimate =
     match
       List.find_opt
-        (fun (_, p, _) -> Iter_partition.block_count p >= 2)
+        (fun (_, p, _) -> Coset.block_count p >= 2)
         sorted
     with
     | Some best -> best
@@ -240,7 +253,14 @@ let plan ?search_radius ?(nprocs = 4) nest =
   {
     nest;
     nprocs;
-    theorems;
+    theorems =
+      List.map
+        (fun (strategy, space) ->
+          {
+            strategy;
+            parallelism = Option.map Strategy.parallelism_degree space;
+          })
+        spaces;
     comm_free;
     choice;
     partition;
@@ -248,7 +268,7 @@ let plan ?search_radius ?(nprocs = 4) nest =
     ranked = List.map (fun (c, _, e) -> (c, e)) sorted;
   }
 
-let servable t = Iter_partition.block_count t.partition >= 2
+let servable t = Coset.block_count t.partition >= 2
 
 let describe ppf t =
   Format.fprintf ppf "@[<v>";
@@ -269,7 +289,7 @@ let describe ppf t =
     Format.fprintf ppf "plan: fallback %s = %a@," t.choice.origin Subspace.pp
       t.choice.space;
   Format.fprintf ppf "blocks: %d on %d PE(s), cyclic@,"
-    (Iter_partition.block_count t.partition)
+    (Coset.block_count t.partition)
     t.nprocs;
   Format.fprintf ppf
     "predicted volume: %d message(s) (%d remote read(s), %d remote write(s))"

@@ -57,7 +57,7 @@ type t = {
       (** Theorem 1 grants parallelism — the plan below is exact and
           has zero predicted volume *)
   choice : candidate;
-  partition : Iter_partition.t;  (** materialized [P_Ψ] of [choice] *)
+  partition : Coset.t;  (** the closed-form index of [P_Ψ] of [choice] *)
   estimate : estimate;
   ranked : (candidate * estimate) list;
       (** every evaluated candidate, best first (fewest messages, then
@@ -75,8 +75,7 @@ val candidates : ?search_radius:int -> Cf_loop.Nest.t -> candidate list
     flow-dependence witnesses, each axis line and hyperplane slab, and
     the zero space (blockless — every iteration its own block). *)
 
-val estimate_partition :
-  placement:(int -> int) -> Iter_partition.t -> estimate
+val estimate_partition : placement:(int -> int) -> Coset.t -> estimate
 (** Predicted volume of an explicit partition under [placement] (block
     id to PE), by one pass over the iteration space in execution order
     applying the first-touch home rule.  Exact for
@@ -88,10 +87,19 @@ val estimate : nprocs:int -> Cf_loop.Nest.t -> Subspace.t -> estimate
     [nprocs] PEs.  Raises [Invalid_argument] when the subspace's
     ambient dimension differs from the nest depth. *)
 
-val plan : ?search_radius:int -> ?nprocs:int -> Cf_loop.Nest.t -> t
+val plan :
+  ?search_radius:int ->
+  ?exact:Cf_dep.Exact.result ->
+  ?nprocs:int ->
+  Cf_loop.Nest.t ->
+  t
 (** The fallback plan ([nprocs] defaults to 4).  Runs every theorem
     (skipping exact analysis on spaces larger than the pipeline's
-    enumeration limit); when Theorem 1 grants parallelism the exact
+    enumeration limit), computing each theorem's space once.  [exact],
+    the exact analysis of this same [nest] when the caller already has
+    it, saves recomputing it; it is used only under the enumeration
+    limit, so the verdicts are the same with or without it.  When
+    Theorem 1 grants parallelism the exact
     [Ψ] is the single candidate (zero volume by construction),
     otherwise all {!candidates} are evaluated and ranked.  The choice
     is the best-ranked candidate that yields at least two blocks when

@@ -126,7 +126,7 @@ let explain_fallback (mc : Cf_mincomm.Mincomm.t) =
           "fallback partition %s = %a (%d block(s) on %d PE(s)) predicts \
            %d message(s) (%d remote read(s), %d remote write(s))"
           mc.choice.origin Cf_linalg.Subspace.pp mc.choice.space
-          (Cf_core.Iter_partition.block_count mc.partition)
+          (Cf_core.Coset.block_count mc.partition)
           mc.nprocs mc.estimate.messages mc.estimate.remote_reads
           mc.estimate.remote_writes;
     }

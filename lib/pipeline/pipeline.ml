@@ -9,7 +9,7 @@ type t = {
   strategy : Strategy.t;
   exact : Cf_dep.Exact.result option;
   space : Cf_linalg.Subspace.t;
-  partition : Iter_partition.t;
+  coset : Coset.t;
   parloop : Cf_transform.Parloop.t;
 }
 
@@ -33,14 +33,12 @@ let plan ?(obs = Cf_obs.Trace.null) ?(strategy = Strategy.Nonduplicate) ?basis
   Log.debug (fun m ->
       m "strategy %a: psi = %a" Strategy.pp strategy Cf_linalg.Subspace.pp
         space);
-  let partition =
-    phase "iter-partition" (fun () -> Iter_partition.make nest space)
-  in
+  let coset = phase "coset" (fun () -> Coset.make nest space) in
   let parloop =
     phase "transform" (fun () ->
         Cf_transform.Transformer.transform ?basis nest space)
   in
-  { nest; strategy; exact; space; partition; parloop }
+  { nest; strategy; exact; space; coset; parloop }
 
 let relabel t nest =
   {
@@ -48,15 +46,18 @@ let relabel t nest =
     strategy = t.strategy;
     exact = Option.map (fun e -> Cf_dep.Exact.relabel e nest) t.exact;
     space = t.space;
-    partition = Iter_partition.relabel t.partition nest;
+    coset = Coset.relabel t.coset nest;
     parloop = Cf_transform.Parloop.relabel t.parloop ~source:nest;
   }
 
 let parallelism t = Strategy.parallelism_degree t.space
-let block_count t = Iter_partition.block_count t.partition
+let block_count t = Coset.block_count t.coset
 
+(* The verifier is the enumeration-based check of the theorems, so it
+   gets its own materialized partition. *)
 let verified t =
-  Verify.communication_free ?exact:t.exact t.strategy t.partition
+  Verify.communication_free ?exact:t.exact t.strategy
+    (Iter_partition.make t.nest t.space)
 
 type simulation = {
   report : Cf_exec.Parexec.report;
@@ -70,10 +71,10 @@ let simulate ?backend ?(procs = 4) ?(cost = Cf_machine.Cost.transputer)
     Cf_machine.Machine.create (Cf_machine.Topology.linear procs) cost
   in
   let report =
-    Cf_exec.Parexec.execute ?backend ?exact:t.exact
+    Cf_exec.Parexec.execute_indexed ?backend ?exact:t.exact
       ~charge_distribution:with_distribution ~machine
       ~placement:(Cf_exec.Parexec.cyclic ~nprocs:procs)
-      ~strategy:t.strategy t.partition
+      ~strategy:t.strategy t.coset
   in
   {
     report;
@@ -98,7 +99,7 @@ let plan_serve ?(obs = Cf_obs.Trace.null) ?strategy ?basis ?search_radius
   else begin
     let mc =
       Cf_obs.Trace.span obs ~cat:"plan" "fallback-plan" (fun () ->
-          Cf_mincomm.Mincomm.plan ?search_radius ~nprocs nest)
+          Cf_mincomm.Mincomm.plan ?search_radius ?exact:t.exact ~nprocs nest)
     in
     let space = mc.Cf_mincomm.Mincomm.choice.Cf_mincomm.Mincomm.space in
     Log.debug (fun m ->
@@ -111,7 +112,7 @@ let plan_serve ?(obs = Cf_obs.Trace.null) ?strategy ?basis ?search_radius
           Cf_transform.Transformer.transform ?basis nest space)
     in
     Fallback
-      ( { t with space; partition = mc.Cf_mincomm.Mincomm.partition; parloop },
+      ( { t with space; coset = mc.Cf_mincomm.Mincomm.partition; parloop },
         mc )
   end
 
@@ -170,7 +171,7 @@ let simulate_serve ?backend ?procs ?(cost = Cf_machine.Cost.transputer)
       Cf_exec.Parexec.execute_fallback ?backend ?checkpoint_every
         ~charge_distribution:with_distribution ~machine
         ~placement:(Cf_exec.Parexec.cyclic ~nprocs:procs)
-        t.partition
+        t.coset
     in
     {
       report;
@@ -192,9 +193,10 @@ let describe ppf t =
     Cf_linalg.Subspace.pp t.space
     (Cf_linalg.Subspace.dim t.space)
     (parallelism t);
+  let sizes = List.map (fun (b : Coset.block) -> b.size) (Coset.blocks t.coset) in
   Format.fprintf ppf "blocks: %d (largest %d, smallest %d)@," (block_count t)
-    (Iter_partition.max_block_size t.partition)
-    (Iter_partition.min_block_size t.partition);
+    (List.fold_left max 0 sizes)
+    (List.fold_left min max_int sizes);
   (match t.exact with
    | Some e -> Format.fprintf ppf "%a@," Cf_dep.Exact.pp_summary e
    | None -> ());

@@ -15,8 +15,13 @@ type t = {
   exact : Cf_dep.Exact.result option;
       (** populated iff the strategy eliminates redundant computations *)
   space : Cf_linalg.Subspace.t;  (** the partitioning space Ψ *)
-  partition : Iter_partition.t;
-  parloop : Cf_transform.Parloop.t;
+  coset : Coset.t;
+      (** the partition [P_Ψ] as a closed-form {!Cf_core.Coset} index:
+          block ids, bases and sizes, members enumerated on demand.
+          Callers that need a materialized member list (verification,
+          figures) build {!Cf_core.Iter_partition.make}[ nest space]
+          themselves. *)
+  parloop : Cf_transform.Parloop.t;  (** the transformed [forall] nest *)
 }
 
 val plan :
@@ -31,9 +36,9 @@ val plan :
     [Ker(Ψ)] basis used for new loop variables (see
     {!Cf_transform.Transformer.transform}).  [obs] (default
     {!Cf_obs.Trace.null}) receives one span per planning phase —
-    exact analysis, partitioning-space search, iteration partition,
-    loop transform — on the planner lane, timed by the trace's injected
-    clock. *)
+    [exact-analysis], [partitioning-space], [coset] (building the block
+    index), [transform] — on the planner lane, timed by the trace's
+    injected clock. *)
 
 val relabel : t -> Cf_loop.Nest.t -> t
 (** [relabel t nest] re-expresses a plan under the caller's identifier
@@ -52,7 +57,9 @@ val block_count : t -> int
 
 val verified : t -> bool
 (** Re-checks communication freedom of the plan on the concrete
-    iteration space (Theorems 1–4 for this nest). *)
+    iteration space (Theorems 1–4 for this nest).  The check
+    materializes {!Cf_core.Iter_partition}, so it is meant for
+    analysis-scale nests. *)
 
 type simulation = {
   report : Cf_exec.Parexec.report;
@@ -65,11 +72,13 @@ val simulate :
   ?procs:int -> ?cost:Cf_machine.Cost.t -> ?with_distribution:bool -> t ->
   simulation
 (** Executes the plan on a simulated [procs]-node machine (default 4)
-    with cyclic block placement, validating communication freedom and
-    result correctness at run time.  With [~with_distribution:true] the
-    initial data scatter is charged to the machine and shows up in the
-    makespan.  [backend] (default [`Compiled]) selects the
-    statement-body engine — see {!Cf_exec.Parexec.execute}. *)
+    with cyclic block placement through
+    {!Cf_exec.Parexec.execute_indexed} on the plan's {!Coset.t},
+    validating communication freedom and result correctness at run
+    time.  With [~with_distribution:true] the initial data scatter is
+    charged to the machine and shows up in the makespan.  [backend]
+    (default [`Compiled]) selects the statement-body engine — see
+    {!Cf_exec.Parexec.execute}. *)
 
 (** {1 Serve-everything planning}
 
@@ -85,7 +94,7 @@ type planned =
   | Fallback of t * Cf_mincomm.Mincomm.t
       (** theorems rejected the nest; the pipeline fields are rebuilt
           around the minimal-communication subspace (the embedded
-          [space]/[partition]/[parloop] are the fallback's) *)
+          [space]/[coset]/[parloop] are the fallback's) *)
 
 val plan_serve :
   ?obs:Cf_obs.Trace.t ->
@@ -97,7 +106,8 @@ val plan_serve :
   planned
 (** [plan] first; on parallelism 0, one extra [fallback-plan] obs span
     covers the candidate search and volume estimation ([nprocs],
-    default 4, sizes the placement the volumes are predicted for). *)
+    default 4, sizes the placement the volumes are predicted for).  The
+    fallback tier reuses [plan]'s exact analysis when there is one. *)
 
 val plan_normalized :
   ?obs:Cf_obs.Trace.t ->

@@ -309,7 +309,8 @@ let plan_response t ~serve ~digest (c : Service.completion) =
        Fallback plans are recomputed per request and never journaled —
        they are not part of the exact-plan cache. *)
     let mc =
-      Cf_mincomm.Mincomm.plan ~nprocs:t.config.nprocs plan.nest
+      Cf_mincomm.Mincomm.plan ?exact:plan.exact ~nprocs:t.config.nprocs
+        plan.nest
     in
     Metrics.incr t.meters.m_fallback;
     Protocol.ok
@@ -446,15 +447,17 @@ let handle_frame t ~tenant ~greeted payload =
         let t0 = Unix.gettimeofday () in
         Metrics.incr t.meters.m_plans;
         let trace_this = sampled t in
+        (* The span is stamped on the trace's own clock, read before
+           the request is handled, so it ends when the reply goes out. *)
+        let ts = if trace_this then Trace.now t.config.trace else 0. in
         let reply =
           handle_plan t ~tenant:!tenant ~serve ~src ~strategy ~search_radius
             ~timeout
         in
-        let dt = Unix.gettimeofday () -. t0 in
-        Metrics.observe t.meters.m_latency dt;
+        Metrics.observe t.meters.m_latency (Unix.gettimeofday () -. t0);
         if trace_this then
           Trace.complete t.config.trace ~lane:Trace.host_lane ~cat:"server"
-            ~ts:(Trace.now t.config.trace) ~dur:dt "request"
+            ~ts ~dur:(Trace.now t.config.trace -. ts) "request"
             ~args:
               [
                 ("tenant", Trace.Str !tenant);

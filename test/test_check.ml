@@ -272,19 +272,7 @@ let corpus_tests =
     ( "checked-in corpus replays clean under every oracle",
       `Slow,
       fun () ->
-        (* [test/dune] declares corpus/*.loop as deps, so the corpus is
-           present in the build directory next to the test binary
-           (the cwd varies between [dune runtest] and [dune exec]). *)
-        let exe_dir = Filename.dirname Sys.executable_name in
-        let dir =
-          List.find Sys.file_exists
-            [
-              Filename.concat exe_dir "corpus";
-              Filename.concat exe_dir "../../../test/corpus";
-              "corpus";
-            ]
-        in
-        let entries = Corpus.load dir in
+        let entries = Corpus.load (test_file "corpus") in
         check_bool "at least 5 seeds" true (List.length entries >= 5);
         match Fuzz.replay ~oracles:Oracle.all entries with
         | [] -> ()

@@ -293,6 +293,65 @@ let prop_fallback_serves nest =
   Cf_exec.Parexec.ok r
   && Machine.serviced_messages machine = mc.M.estimate.M.messages
 
+(* {2 Pinned reports on the checked-in corpus}
+
+   [mincomm_corpus.expected] holds [Mincomm.describe] of every corpus
+   nest: verdicts, choice, block count, predicted volume and the ranked
+   candidates.  A fallback reached through [Pipeline.plan_serve] — which
+   hands the planner's exact analysis to the fallback tier under the
+   minimal strategies — must print the same report. *)
+
+let report mc = Format.asprintf "%a@." M.describe mc
+
+let describe_pinned_on_corpus () =
+  let entries = Cf_check.Corpus.load (test_file "corpus") in
+  let served = ref 0 in
+  let reports =
+    List.map
+      (fun (file, nest) ->
+        let name = Filename.basename file in
+        let text =
+          match M.plan nest with
+          | exception Invalid_argument msg -> Printf.sprintf "rejected: %s\n" msg
+          | mc ->
+            let want = report mc in
+            List.iter
+              (fun strategy ->
+                match Cf_pipeline.Pipeline.plan_serve ~strategy nest with
+                | Cf_pipeline.Pipeline.Fallback (_, mc) ->
+                  incr served;
+                  check_string
+                    (Printf.sprintf "%s via plan_serve %s" name
+                       (Cf_core.Strategy.to_string strategy))
+                    want (report mc)
+                | Cf_pipeline.Pipeline.Exact _ -> ())
+              Cf_core.Strategy.all;
+            (* The server hands a cached plan's exact analysis, relabeled
+               onto the caller's names, to the fallback tier. *)
+            let renamed =
+              Cf_cache.Canon.rename ~index:(fun v -> "r_" ^ v)
+                ~array:(fun a -> "R" ^ a) nest
+            in
+            let cached =
+              Cf_pipeline.Pipeline.relabel
+                (Cf_pipeline.Pipeline.plan
+                   ~strategy:Cf_core.Strategy.Min_duplicate nest)
+                renamed
+            in
+            check_string (name ^ " renamed, relabeled exact")
+              (report (M.plan renamed))
+              (report (M.plan ?exact:cached.Cf_pipeline.Pipeline.exact renamed));
+            want
+        in
+        Printf.sprintf "== %s\n%s" name text)
+      entries
+  in
+  let ic = open_in_bin (test_file "mincomm_corpus.expected") in
+  let expected = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  check_string "reports" expected (String.concat "" reports);
+  check_bool "plan_serve reached the fallback tier" true (!served > 0)
+
 let cases =
   [
     Alcotest.test_case "estimator: 1-D chain, hand-computed" `Quick
@@ -326,6 +385,8 @@ let cases =
       plan_serve_fallback;
     qtest ~count:60 "random nests: fallback is sequential and on-budget"
       prop_fallback_serves arbitrary_nest;
+    Alcotest.test_case "describe: pinned on the corpus, with and without exact"
+      `Quick describe_pinned_on_corpus;
   ]
 
 let suites = [ ("mincomm", cases) ]

@@ -281,7 +281,7 @@ let integration_cases =
         List.iter
           (fun phase ->
             check_bool (phase ^ " recorded") true (List.mem phase names))
-          [ "partitioning-space"; "iter-partition"; "transform" ];
+          [ "partitioning-space"; "coset"; "transform" ];
         check_bool "all on the planner lane" true
           (List.for_all
              (fun e -> e.Trace.lane = Trace.planner_lane)

@@ -152,7 +152,103 @@ let properties =
       arbitrary_nest;
   ]
 
+(* {1 The product path against the materialized oracle}
+
+   [Pipeline.simulate] runs the indexed engine on the plan's Coset;
+   [Parexec.execute] on a materialized [Iter_partition] is the
+   reference.  Counters must agree exactly; makespans may differ in the
+   last ulp because the two engines sum host sends in different
+   orders. *)
+
+module Machine = Cf_machine.Machine
+
+let counters (r : Cf_exec.Parexec.report) =
+  ( r.Cf_exec.Parexec.per_pe_iterations,
+    Machine.message_count r.Cf_exec.Parexec.machine,
+    Machine.message_volume r.Cf_exec.Parexec.machine )
+
+let close_makespans tag a b =
+  if Float.abs (a -. b) > 1e-12 *. Float.max (Float.abs a) (Float.abs b)
+  then Alcotest.failf "%s: makespan %.17g vs %.17g" tag a b
+
+let procs = 4
+
+let oracle_run (plan : Pipeline.t) =
+  let machine =
+    Machine.create (Cf_machine.Topology.linear procs) Cf_machine.Cost.transputer
+  in
+  let report =
+    Cf_exec.Parexec.execute ?exact:plan.Pipeline.exact
+      ~charge_distribution:true ~machine
+      ~placement:(Cf_exec.Parexec.cyclic ~nprocs:procs)
+      ~strategy:plan.Pipeline.strategy
+      (Cf_core.Iter_partition.make plan.Pipeline.nest plan.Pipeline.space)
+  in
+  (report, Machine.makespan machine)
+
+let same_as_oracle tag (plan : Pipeline.t) (sim : Pipeline.simulation) =
+  let report, makespan = oracle_run plan in
+  check_bool (tag ^ ": simulation ok") true
+    (Cf_exec.Parexec.ok sim.Pipeline.report);
+  check_bool (tag ^ ": oracle ok") true (Cf_exec.Parexec.ok report);
+  check_bool (tag ^ ": per-PE iterations, message count and volume") true
+    (counters sim.Pipeline.report = counters report);
+  close_makespans tag sim.Pipeline.makespan makespan
+
+let engine_cases =
+  [
+    Alcotest.test_case "simulate matches the materialized engine on kernels"
+      `Quick (fun () ->
+        List.iter
+          (fun (k : Cf_workloads.Workloads.kernel) ->
+            let nest = k.Cf_workloads.Workloads.build ~size:5 in
+            List.iter
+              (fun strategy ->
+                let tag =
+                  Printf.sprintf "%s/%s" k.Cf_workloads.Workloads.name
+                    (Cf_core.Strategy.to_string strategy)
+                in
+                let plan = Pipeline.plan ~strategy nest in
+                same_as_oracle tag plan
+                  (Pipeline.simulate ~procs ~with_distribution:true plan))
+              Cf_core.Strategy.all)
+          Cf_workloads.Workloads.all);
+    Alcotest.test_case "relabeled plan simulates like a direct plan" `Quick
+      (fun () ->
+        let renamed nest =
+          Cf_cache.Canon.rename
+            ~index:(fun v -> "r_" ^ v)
+            ~array:(fun a -> "R" ^ a)
+            ~scalar:(fun s -> "r_" ^ s)
+            nest
+        in
+        List.iter
+          (fun (name, nest) ->
+            List.iter
+              (fun strategy ->
+                let tag =
+                  Printf.sprintf "%s/%s" name
+                    (Cf_core.Strategy.to_string strategy)
+                in
+                let other = renamed nest in
+                let hit = Pipeline.relabel (Pipeline.plan ~strategy nest) other in
+                let direct = Pipeline.plan ~strategy other in
+                let simulate p =
+                  Pipeline.simulate ~procs ~with_distribution:true p
+                in
+                let a = simulate hit and b = simulate direct in
+                check_bool (tag ^ ": relabeled ok") true
+                  (Cf_exec.Parexec.ok a.Pipeline.report);
+                check_bool (tag ^ ": same counters") true
+                  (counters a.Pipeline.report = counters b.Pipeline.report);
+                check_bool (tag ^ ": same makespan") true
+                  (a.Pipeline.makespan = b.Pipeline.makespan))
+              Cf_core.Strategy.all)
+          all_paper_loops);
+  ]
+
 let suites =
   [ ("pipeline", pipeline_cases);
+    ("pipeline-engine", engine_cases);
     ("diagnose", diagnose_cases);
     ("pipeline-properties", properties) ]

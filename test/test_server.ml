@@ -824,6 +824,54 @@ let e2e_cases =
               in
               check_bool "error names the file" true
                 (contains msg tenants_file)));
+    Alcotest.test_case "request span covers the request" `Quick (fun () ->
+        (* A clock that advances one unit per reading orders every
+           reading strictly, so the span must start before the
+           request's own planning events and end after all of them. *)
+        let ticks = Atomic.make 0 in
+        let clock () = float_of_int (Atomic.fetch_and_add ticks 1) in
+        let trace =
+          Cf_obs.Trace.make ~clock (Cf_obs.Trace.ring ~capacity:1024)
+        in
+        let config =
+          { Server.default_config with Server.trace; trace_sample = 1. }
+        in
+        with_server ~config "span" (fun sock _server ->
+            match Client.connect_unix sock with
+            | Error msg -> Alcotest.fail msg
+            | Ok c ->
+              Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+                  let sent = clock () in
+                  ignore (ok_or_fail "plan l1" (Client.plan c (render l1)));
+                  let received = clock () in
+                  let events = Cf_obs.Trace.events trace in
+                  let span =
+                    match
+                      List.find_opt
+                        (fun e -> e.Cf_obs.Trace.cat = "server")
+                        events
+                    with
+                    | Some e -> e
+                    | None -> Alcotest.fail "no request span"
+                  in
+                  let start = span.Cf_obs.Trace.ts in
+                  let stop =
+                    start +. Option.value ~default:0. span.Cf_obs.Trace.dur
+                  in
+                  check_bool "starts after the request is sent" true
+                    (start > sent);
+                  check_bool "ends before the reply is read" true
+                    (stop < received);
+                  let others = List.filter (fun e -> e != span) events in
+                  check_bool "planning traced" true (others <> []);
+                  List.iter
+                    (fun (e : Cf_obs.Trace.event) ->
+                      let e_stop =
+                        e.ts +. Option.value ~default:0. e.dur
+                      in
+                      check_bool (e.name ^ " inside the request span") true
+                        (e.ts >= start && e_stop <= stop))
+                    others)));
   ]
 
 let suites =

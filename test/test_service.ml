@@ -51,30 +51,39 @@ let deterministic_cases =
     Alcotest.test_case "plan_many keeps input order and hits cache" `Quick
       (fun () ->
         let svc = Service.create ~domains:2 ~queue_depth:2 () in
-        (* Batch bigger than the queue: plan_many must block for space
+        let loops = List.map snd all_paper_loops in
+        (* Batches bigger than the queue: plan_many must block for space
            rather than reject. *)
-        let nests =
-          List.concat (List.init 4 (fun _ -> List.map snd all_paper_loops))
+        let plan_in_order nests =
+          let outcomes = Service.plan_many svc nests in
+          check_int "one outcome per nest" (List.length nests)
+            (List.length outcomes);
+          List.map2
+            (fun nest outcome ->
+              match outcome with
+              | Service.Done c ->
+                check_string "matches sequential"
+                  (describe (Cf_pipeline.Pipeline.plan nest))
+                  (describe c.Service.plan);
+                c.Service.cache_hit
+              | o ->
+                Alcotest.failf "unexpected outcome %a" Service.pp_outcome o)
+            nests outcomes
         in
-        let outcomes = Service.plan_many svc nests in
-        check_int "one outcome per nest" (List.length nests)
-          (List.length outcomes);
-        List.iter2
-          (fun nest outcome ->
-            match outcome with
-            | Service.Done c ->
-              check_string "matches sequential"
-                (describe (Cf_pipeline.Pipeline.plan nest))
-                (describe c.Service.plan)
-            | o ->
-              Alcotest.failf "unexpected outcome %a" Service.pp_outcome o)
-          nests outcomes;
+        (* One copy of each loop is planned first: with two workers, a
+           repeat inside the same batch may be dequeued while its first
+           copy is still planning, and then both miss. *)
+        ignore (plan_in_order loops);
+        let hits =
+          plan_in_order (List.concat (List.init 3 (fun _ -> loops)))
+        in
+        check_bool "repeats were cache hits" true (List.for_all Fun.id hits);
         let s = Service.stats svc in
         (match s.Service.cache with
         | None -> Alcotest.fail "cache expected on"
         | Some c ->
-          check_bool "repeats were cache hits" true
-            (c.Cf_cache.Memo.hits >= 3 * List.length all_paper_loops));
+          check_bool "hits counted" true
+            (c.Cf_cache.Memo.hits >= 3 * List.length loops));
         Service.shutdown svc);
     Alcotest.test_case "cache off still answers correctly" `Quick (fun () ->
         let svc = Service.create ~domains:2 ~cache:None () in

@@ -68,3 +68,15 @@ let qtest ?(count = 100) name prop arb =
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
+
+(* A file or directory under test/.  [test/dune] declares the test data
+   as deps, so it sits next to the test binary in the build directory
+   (the cwd varies between [dune runtest] and [dune exec]). *)
+let test_file name =
+  let exe_dir = Filename.dirname Sys.executable_name in
+  List.find Sys.file_exists
+    [
+      Filename.concat exe_dir name;
+      Filename.concat exe_dir (Filename.concat "../../../test" name);
+      name;
+    ]
