@@ -75,80 +75,135 @@ let coset_map n space =
       in
       (proj, b))
 
+(* φ(iter) into the caller's [key]. *)
+let key_into proj iter key =
+  for r = 0 to Array.length proj - 1 do
+    let row = Array.unsafe_get proj r in
+    let acc = ref 0 in
+    for c = 0 to Array.length row - 1 do
+      acc := Oint.add !acc (Oint.mul (Array.unsafe_get row c) iter.(c))
+    done;
+    key.(r) <- !acc
+  done
+
 let key_of_proj proj iter =
-  Array.map
-    (fun row ->
-      let acc = ref 0 in
-      Array.iteri (fun c x -> acc := Oint.add !acc (Oint.mul x iter.(c))) row;
-      !acc)
-    proj
+  let key = Array.make (Array.length proj) 0 in
+  key_into proj iter key;
+  key
 
 let key_of t iter = key_of_proj t.proj iter
 
-type disco = { pos : int; dbase : int array; mutable dsize : int }
+let nonzero_columns row =
+  let l = ref [] in
+  Array.iteri (fun j v -> if v <> 0 then l := j :: !l) row;
+  Array.of_list (List.rev !l)
 
-let make nest space =
+(* One space's share of a discovery walk: the index under construction
+   (no blocks yet; its [index] fills as blocks are first seen), the
+   scratch key φ is evaluated into, and the blocks seen so far.  Keys
+   are copied only when a block is first seen. *)
+type disco = {
+  shape : t;
+  key : int array;
+  mutable bases : int array array;
+  mutable sizes : int array;
+  mutable count : int;
+}
+
+let disco nest ~lo ~hi ~rectangular space =
   let n = Nest.depth nest in
   if Subspace.ambient_dim space <> n then
     invalid_arg "Coset.make: ambient dimension mismatch";
   let proj, gens = coset_map n space in
   let hnf = Hnf.compute (Array.to_list (Array.map Array.copy gens)) in
-  let lattice = hnf.Hnf.basis and pivots = hnf.Hnf.pivots in
+  let lattice = hnf.Hnf.basis in
   (* The lattice must be φ's kernel: φ·bᵀ = 0 for every basis row. *)
   Array.iter
-    (fun b ->
-      Array.iter
-        (fun row ->
-          let acc = ref 0 in
-          Array.iteri (fun c x -> acc := Oint.add !acc (Oint.mul x b.(c))) row;
-          assert (!acc = 0))
-        proj)
+    (fun b -> Array.iter (fun k -> assert (k = 0)) (key_of_proj proj b))
     lattice;
+  {
+    shape =
+      {
+        nest;
+        space;
+        proj;
+        lattice;
+        nz_cols = Array.map nonzero_columns lattice;
+        pivots = hnf.Hnf.pivots;
+        lo;
+        hi;
+        rectangular;
+        blocks = [||];
+        index = Ktbl.create 256;
+      };
+    key = Array.make (Array.length proj) 0;
+    bases = Array.make 16 [||];
+    sizes = Array.make 16 0;
+    count = 0;
+  }
+
+let grow a fill =
+  let b = Array.make (2 * Array.length a) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* The block id of [iter] under [d], numbering a block the first time
+   one of its iterations is seen. *)
+let discover d iter =
+  let key = d.key in
+  key_into d.shape.proj iter key;
+  match Ktbl.find d.shape.index key with
+  | id ->
+    d.sizes.(id - 1) <- d.sizes.(id - 1) + 1;
+    id
+  | exception Not_found ->
+    if d.count = Array.length d.sizes then begin
+      d.bases <- grow d.bases [||];
+      d.sizes <- grow d.sizes 0
+    end;
+    d.bases.(d.count) <- Array.copy iter;
+    d.sizes.(d.count) <- 1;
+    d.count <- d.count + 1;
+    Ktbl.add d.shape.index (Array.copy key) d.count;
+    d.count
+
+(* One streaming pass discovers the blocks of every space at once.
+   Lexicographic enumeration means a block's first-seen iteration is
+   its base point, and first-seen order is base-point lexicographic
+   order — exactly the oracle's 1-based numbering.  Nothing
+   per-iteration is retained; memory is O(#blocks) per space. *)
+let walk nest spaces f =
+  let n = Nest.depth nest in
   let lo, hi =
     match Nest.bounding_box nest with
     | Some (lo, hi) -> (lo, hi)
     | None -> (Array.make n 0, Array.make n (-1))
   in
-  (* One streaming pass discovers the blocks.  Lexicographic enumeration
-     means a block's first-seen iteration is its base point, and
-     first-seen order is base-point lexicographic order — exactly the
-     oracle's 1-based numbering.  Nothing per-iteration is retained;
-     memory is O(#blocks). *)
-  let found = Ktbl.create 256 in
-  let count = ref 0 in
+  let rectangular = Nest.is_rectangular nest in
+  let ds =
+    Array.of_list (List.map (disco nest ~lo ~hi ~rectangular) spaces)
+  in
+  let ids = Array.make (Array.length ds) 0 in
   Nest.iter_space nest (fun iter ->
-      let key = key_of_proj proj iter in
-      match Ktbl.find_opt found key with
-      | Some d -> d.dsize <- d.dsize + 1
-      | None ->
-        Ktbl.add found key { pos = !count; dbase = Array.copy iter; dsize = 1 };
-        incr count);
-  let blocks = Array.make !count { id = 0; base = [||]; size = 0 } in
-  let index = Ktbl.create (max 16 (2 * !count)) in
-  Ktbl.iter
-    (fun key d ->
-      blocks.(d.pos) <- { id = d.pos + 1; base = d.dbase; size = d.dsize };
-      Ktbl.replace index key (d.pos + 1))
-    found;
-  {
-    nest;
-    space;
-    proj;
-    lattice;
-    nz_cols =
-      Array.map
-        (fun row ->
-          let l = ref [] in
-          Array.iteri (fun j v -> if v <> 0 then l := j :: !l) row;
-          Array.of_list (List.rev !l))
-        lattice;
-    pivots;
-    lo;
-    hi;
-    rectangular = Nest.is_rectangular nest;
-    blocks;
-    index;
-  }
+      for s = 0 to Array.length ds - 1 do
+        ids.(s) <- discover ds.(s) iter
+      done;
+      f iter ids);
+  Array.to_list
+    (Array.map
+       (fun d ->
+         {
+           d.shape with
+           blocks =
+             Array.init d.count (fun i ->
+                 { id = i + 1; base = d.bases.(i); size = d.sizes.(i) });
+         })
+       ds)
+
+let make nest space =
+  match walk nest [ space ] (fun _ _ -> ()) with
+  | [ t ] -> t
+  | _ -> assert false
 
 let relabel t nest =
   if Nest.depth nest <> Subspace.ambient_dim t.space then

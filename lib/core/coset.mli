@@ -16,7 +16,9 @@
 
     Construction performs a single streaming pass over the iteration
     space to assign the oracle's 1-based, base-point-ordered block ids
-    (O(#blocks) memory, nothing per-iteration).  Numbering, base points,
+    (O(#blocks) memory, nothing per-iteration); {!walk} shares that
+    pass between several spaces and hands each iteration's block ids
+    to a callback.  Numbering, base points,
     sizes, and member order are bit-for-bit identical to
     {!Iter_partition}, which remains the reference oracle in tests.
 
@@ -35,6 +37,17 @@ type t
 val make : Nest.t -> Subspace.t -> t
 (** [make nest psi] builds the index.  Raises [Invalid_argument] when
     the subspace's ambient dimension differs from the nest depth. *)
+
+val walk :
+  Nest.t -> Subspace.t list -> (int array -> int array -> unit) -> t list
+(** [walk nest spaces f] builds the index of every space in one pass
+    over the iteration space, in lexicographic order, and returns them
+    in the order of [spaces].  For each iteration [x] it calls
+    [f x ids] where [ids.(k)] is [x]'s block id under the [k]-th space
+    — the id {!block_id_of_iteration} of the returned index gives it.
+    [ids] is scratch, valid only during the call; [x] must not be
+    mutated.  [make nest psi] is [walk nest [psi]] with no callback.
+    Raises [Invalid_argument] as {!make} does. *)
 
 val relabel : t -> Nest.t -> t
 (** [relabel t nest] is [t] with the embedded nest replaced — for

@@ -1024,20 +1024,24 @@ let fallback_homes ~placement coset =
             sp.Compile.reads ))
       stmts
   in
-  Nest.iter_space nest (fun iter ->
-      let pe = placement (Coset.block_id_of_iteration coset iter) in
-      for si = 0 to nstmts - 1 do
-        let sp = stmts.(si) in
-        let lscr, rscr = scratch.(si) in
-        let touch (s : Compile.Site.t) scr =
-          Compile.Site.eval_into s iter scr;
-          let tbl = homes.(s.Compile.Site.slot) in
-          let packed = Machine.pack_coords scr in
-          if not (Hashtbl.mem tbl packed) then Hashtbl.add tbl packed pe
-        in
-        touch sp.Compile.lhs lscr;
-        Array.iteri (fun k s -> touch s rscr.(k)) sp.Compile.reads
-      done);
+  (* The walk re-derives the coset's numbering and hands over each
+     iteration's block id: no membership test or key allocation. *)
+  let (_ : Coset.t list) =
+    Coset.walk nest [ Coset.space coset ] (fun iter ids ->
+        let pe = placement ids.(0) in
+        for si = 0 to nstmts - 1 do
+          let sp = stmts.(si) in
+          let lscr, rscr = scratch.(si) in
+          let touch (s : Compile.Site.t) scr =
+            Compile.Site.eval_into s iter scr;
+            let tbl = homes.(s.Compile.Site.slot) in
+            let packed = Machine.pack_coords scr in
+            if not (Hashtbl.mem tbl packed) then Hashtbl.add tbl packed pe
+          in
+          touch sp.Compile.lhs lscr;
+          Array.iteri (fun k s -> touch s rscr.(k)) sp.Compile.reads
+        done)
+  in
   Array.mapi (fun slot tbl -> (arr_names.(slot), tbl)) homes
 
 let execute_fallback ?(backend = `Compiled) ?(init = Seqexec.default_init)

@@ -18,7 +18,7 @@ type verdict = { strategy : Strategy.t; parallelism : int option }
 type t = {
   nest : Nest.t;
   nprocs : int;
-  theorems : verdict list;
+  search_radius : int option;
   comm_free : bool;
   choice : candidate;
   partition : Coset.t;
@@ -37,28 +37,31 @@ let theorem_number = function
    enough to enumerate. *)
 let exact_analysis_limit = 100_000
 
-(* Every theorem's partitioning space, computed once per plan; [None]
-   when exact analysis was skipped or the computation failed.  The
-   planner's own [exact] is reused only under the enumeration limit, so
-   the verdicts do not depend on whether it was supplied. *)
-let theorem_spaces ?search_radius ?exact nest =
+(* Every theorem's verdict on the planned nest.  Nothing in planning
+   reads them, so they are computed only when a report asks; the
+   search radius the plan was made with keeps them identical to what
+   planning would have computed. *)
+let verdicts t =
+  let nest = t.nest and search_radius = t.search_radius in
   let exact =
     if Nest.cardinal nest > exact_analysis_limit then None
-    else
-      match exact with
-      | Some _ -> exact
-      | None -> ( try Some (Cf_dep.Exact.analyze nest) with _ -> None)
+    else try Some (Cf_dep.Exact.analyze nest) with _ -> None
   in
   List.map
     (fun strategy ->
-      ( strategy,
-        if Strategy.uses_exact_analysis strategy && Option.is_none exact then
-          None
-        else
-          try
-            Some
-              (Strategy.partitioning_space ?search_radius ?exact strategy nest)
-          with _ -> None ))
+      {
+        strategy;
+        parallelism =
+          (if Strategy.uses_exact_analysis strategy && Option.is_none exact
+           then None
+           else
+             try
+               Some
+                 (Strategy.parallelism_degree
+                    (Strategy.partitioning_space ?search_radius ?exact
+                       strategy nest))
+             with _ -> None);
+      })
     Strategy.all
 
 (* {2 Candidate subspaces}
@@ -66,11 +69,12 @@ let theorem_spaces ?search_radius ?exact nest =
    Everything of dimension < n the existing machinery suggests.  The
    theorem spaces come first so that whenever one of them ties on
    predicted volume, ranking (messages, dim, origin) still has a
-   deterministic winner; duplicates keep their first origin. *)
+   deterministic winner; duplicates keep their first origin.  [psi] and
+   [psi_r] are the per-array [Ψ_A] and [Ψ^r_A]; Theorems 1 and 2 are
+   their joins ({!Strategy.partitioning_space}). *)
 
-let candidates_of ?search_radius ~theorem_1 ~theorem_2 nest =
+let candidates_of ?search_radius ~psi ~psi_r nest =
   let n = Nest.depth nest in
-  let arrays = Nest.arrays nest in
   let acc = ref [] in
   let add origin space =
     if
@@ -78,21 +82,10 @@ let candidates_of ?search_radius ~theorem_1 ~theorem_2 nest =
       && not (List.exists (fun c -> Subspace.equal c.space space) !acc)
     then acc := { origin; space } :: !acc
   in
-  add "theorem-1" theorem_1;
-  add "theorem-2" theorem_2;
-  let psi =
-    List.map
-      (fun a ->
-        (a, Strategy.array_space ?search_radius Strategy.Nonduplicate nest a))
-      arrays
-  in
+  add "theorem-1" (Subspace.join_all n (List.map snd psi));
+  add "theorem-2" (Subspace.join_all n (List.map snd psi_r));
   List.iter (fun (a, s) -> add (Printf.sprintf "psi[%s]" a) s) psi;
-  List.iter
-    (fun a ->
-      add
-        (Printf.sprintf "psi_r[%s]" a)
-        (Strategy.array_space ?search_radius Strategy.Duplicate nest a))
-    arrays;
+  List.iter (fun (a, s) -> add (Printf.sprintf "psi_r[%s]" a) s) psi_r;
   (* Leave-one-out joins: serve all arrays but one locally and let the
      dropped array's accesses pay the messages. *)
   if List.length psi > 1 then
@@ -133,100 +126,140 @@ let candidates_of ?search_radius ~theorem_1 ~theorem_2 nest =
   add "free" (Subspace.zero n);
   List.rev !acc
 
+let array_spaces ?search_radius strategy nest =
+  List.map
+    (fun a -> (a, Strategy.array_space ?search_radius strategy nest a))
+    (Nest.arrays nest)
+
 let candidates ?search_radius nest =
-  let space s = Strategy.partitioning_space ?search_radius s nest in
-  candidates_of ?search_radius ~theorem_1:(space Strategy.Nonduplicate)
-    ~theorem_2:(space Strategy.Duplicate) nest
+  candidates_of ?search_radius
+    ~psi:(array_spaces ?search_radius Strategy.Nonduplicate nest)
+    ~psi_r:(array_spaces ?search_radius Strategy.Duplicate nest)
+    nest
 
 (* {2 First-touch volume estimator}
 
-   One pass over the iteration space in execution order.  An element's
-   home is the PE of the first iteration touching it (within one
-   iteration every site runs on the same PE, so intra-iteration order
-   cannot change the home); each later access from another PE is one
-   message.  This is exactly [Parexec.fallback_homes]'s placement rule
-   followed by [Seqexec.run_placed]'s servicing rule, which is why
-   predicted counts equal simulated ones. *)
+   One pass over the iteration space in execution order prices every
+   candidate at once.  An element's home is the PE of the first
+   iteration touching it (within one iteration every site runs on the
+   same PE, so intra-iteration order cannot change the home); each
+   later access from another PE is one message.  This is exactly
+   [Parexec.fallback_homes]'s placement rule followed by
+   [Seqexec.run_placed]'s servicing rule, which is why predicted counts
+   equal simulated ones.
 
-let estimate_partition ~placement coset =
-  let nest = Coset.nest coset in
+   The walk hands over every candidate's block id per iteration
+   ({!Coset.walk}).  Each access site is evaluated, and its element
+   interned to a dense per-array id, once per iteration; per candidate
+   the homes and counts are plain int arrays. *)
+
+module Itbl = Hashtbl.Make (Int)
+
+let grow a fill =
+  let b = Array.make (2 * Array.length a) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let evaluate ~nprocs nest spaces =
+  let placement = Parexec.cyclic ~nprocs in
   let prog = Compile.make nest in
-  let stmts = Compile.stmts prog in
-  let nstmts = Array.length stmts in
-  let homes =
-    Array.map
-      (fun _ -> (Hashtbl.create 64 : (int, int) Hashtbl.t))
-      (Compile.arrays prog)
+  (* Every access site in execution order: per statement the write,
+     then the reads. *)
+  let sites, is_write =
+    Array.split
+      (Array.concat
+         (List.map
+            (fun (sp : Compile.stmt_sites) ->
+              Array.append
+                [| (sp.Compile.lhs, true) |]
+                (Array.map (fun s -> (s, false)) sp.Compile.reads))
+            (Array.to_list (Compile.stmts prog))))
   in
-  let per_block = Array.make (Coset.block_count coset) 0 in
-  let rr = ref 0 and rw = ref 0 in
-  let scratch =
-    Array.map
-      (fun (sp : Compile.stmt_sites) ->
-        ( Array.make (Compile.Site.rank sp.Compile.lhs) 0,
-          Array.map
-            (fun s -> Array.make (Compile.Site.rank s) 0)
-            sp.Compile.reads ))
-      stmts
-  in
-  Nest.iter_space nest (fun iter ->
-      let block = Coset.block_id_of_iteration coset iter in
-      let pe = placement block in
-      for si = 0 to nstmts - 1 do
-        let sp = stmts.(si) in
-        let lscr, rscr = scratch.(si) in
-        let touch kind (s : Compile.Site.t) scr =
-          Compile.Site.eval_into s iter scr;
-          let tbl = homes.(s.Compile.Site.slot) in
-          let packed = Machine.pack_coords scr in
-          match Hashtbl.find_opt tbl packed with
-          | None -> Hashtbl.add tbl packed pe
-          | Some home ->
-            if home <> pe then begin
-              (match kind with `R -> incr rr | `W -> incr rw);
-              per_block.(block - 1) <- per_block.(block - 1) + 1
+  let nsites = Array.length sites in
+  let scratch = Array.map (fun s -> Array.make (Compile.Site.rank s) 0) sites in
+  let narrays = Array.length (Compile.arrays prog) in
+  let ncand = List.length spaces in
+  let dense = Array.init narrays (fun _ -> Itbl.create 64) in
+  (* homes.(a).(e * ncand + c): candidate c's home PE for element e of
+     array a, -1 before the element's first touch. *)
+  let homes = Array.init narrays (fun _ -> Array.make (64 * ncand) (-1)) in
+  let element = Array.make nsites 0 in
+  let pes = Array.make ncand 0 in
+  let rr = Array.make ncand 0 and rw = Array.make ncand 0 in
+  let per_block = Array.init ncand (fun _ -> Array.make 16 0) in
+  let cosets =
+    Coset.walk nest spaces (fun iter blocks ->
+        for s = 0 to nsites - 1 do
+          let site = sites.(s) and el = scratch.(s) in
+          Compile.Site.eval_into site iter el;
+          let a = site.Compile.Site.slot in
+          let packed = Machine.pack_coords el in
+          element.(s) <-
+            (match Itbl.find dense.(a) packed with
+            | e -> e
+            | exception Not_found ->
+              let e = Itbl.length dense.(a) in
+              Itbl.add dense.(a) packed e;
+              if (e + 1) * ncand > Array.length homes.(a) then
+                homes.(a) <- grow homes.(a) (-1);
+              e)
+        done;
+        for c = 0 to ncand - 1 do
+          let b = blocks.(c) in
+          pes.(c) <- placement b;
+          if b > Array.length per_block.(c) then
+            per_block.(c) <- grow per_block.(c) 0
+        done;
+        for s = 0 to nsites - 1 do
+          let h = homes.(sites.(s).Compile.Site.slot)
+          and base = element.(s) * ncand in
+          for c = 0 to ncand - 1 do
+            let pe = pes.(c) and home = h.(base + c) in
+            if home < 0 then h.(base + c) <- pe
+            else if home <> pe then begin
+              if is_write.(s) then rw.(c) <- rw.(c) + 1
+              else rr.(c) <- rr.(c) + 1;
+              let pb = per_block.(c) and b = blocks.(c) - 1 in
+              pb.(b) <- pb.(b) + 1
             end
-        in
-        touch `W sp.Compile.lhs lscr;
-        Array.iteri (fun k s -> touch `R s rscr.(k)) sp.Compile.reads
-      done);
-  { messages = !rr + !rw; remote_reads = !rr; remote_writes = !rw; per_block }
+          done
+        done)
+  in
+  List.mapi
+    (fun c coset ->
+      ( coset,
+        {
+          messages = rr.(c) + rw.(c);
+          remote_reads = rr.(c);
+          remote_writes = rw.(c);
+          per_block = Array.sub per_block.(c) 0 (Coset.block_count coset);
+        } ))
+    cosets
 
 let estimate ~nprocs nest space =
-  estimate_partition
-    ~placement:(Parexec.cyclic ~nprocs)
-    (Coset.make nest space)
+  snd (List.hd (evaluate ~nprocs nest [ space ]))
 
-let plan ?search_radius ?exact ?(nprocs = 4) nest =
+let plan ?search_radius ?(nprocs = 4) nest =
   if nprocs < 1 then invalid_arg "Mincomm.plan: nprocs must be positive";
   if Nest.cardinal nest = 0 then
     invalid_arg "Mincomm.plan: empty iteration space";
   if not (Nest.all_uniformly_generated nest) then
     invalid_arg "Mincomm.plan: arrays must be uniformly generated";
-  let spaces = theorem_spaces ?search_radius ?exact nest in
-  (* Theorems 1 and 2 need no exact analysis, so [None] means their
-     computation failed: recomputing re-raises the failure. *)
-  let space strategy =
-    match List.assoc strategy spaces with
-    | Some s -> s
-    | None -> Strategy.partitioning_space ?search_radius strategy nest
-  in
-  let psi_nd = space Strategy.Nonduplicate in
+  let psi = array_spaces ?search_radius Strategy.Nonduplicate nest in
+  let psi_nd = Subspace.join_all (Nest.depth nest) (List.map snd psi) in
   let comm_free = Strategy.parallelism_degree psi_nd > 0 in
   let cands =
     if comm_free then [ { origin = "theorem-1"; space = psi_nd } ]
     else
-      candidates_of ?search_radius ~theorem_1:psi_nd
-        ~theorem_2:(space Strategy.Duplicate)
+      candidates_of ?search_radius ~psi
+        ~psi_r:(array_spaces ?search_radius Strategy.Duplicate nest)
         nest
   in
-  let placement = Parexec.cyclic ~nprocs in
   let evaluated =
-    List.map
-      (fun c ->
-        let coset = Coset.make nest c.space in
-        (c, coset, estimate_partition ~placement coset))
+    List.map2
+      (fun c (coset, e) -> (c, coset, e))
       cands
+      (evaluate ~nprocs nest (List.map (fun c -> c.space) cands))
   in
   let sorted =
     List.stable_sort
@@ -253,14 +286,7 @@ let plan ?search_radius ?exact ?(nprocs = 4) nest =
   {
     nest;
     nprocs;
-    theorems =
-      List.map
-        (fun (strategy, space) ->
-          {
-            strategy;
-            parallelism = Option.map Strategy.parallelism_degree space;
-          })
-        spaces;
+    search_radius;
     comm_free;
     choice;
     partition;
@@ -281,7 +307,7 @@ let describe ppf t =
         | Some 0 -> "rejected (dim Psi = n, no parallelism)"
         | Some p -> Printf.sprintf "parallelism %d" p
         | None -> "skipped (iteration space too large for exact analysis)"))
-    t.theorems;
+    (verdicts t);
   if t.comm_free then
     Format.fprintf ppf "plan: exact (communication-free) via %s@,"
       t.choice.origin

@@ -11,6 +11,14 @@
     messages — a graceful-degradation tier between "communication-free"
     and "sequential".
 
+    A plan costs one walk of the iteration space however many
+    candidates it ranks: {!Cf_core.Coset.walk} numbers every
+    candidate's blocks in the same pass that prices them, and each
+    access is evaluated once per iteration, not once per candidate.
+    The per-array [Ψ_A] and [Ψ^r_A] are computed once and joined into
+    the Theorem 1 and 2 spaces.  The four theorems' verdicts are not
+    part of planning; {!verdicts} computes them when a report asks.
+
     The volume model matches execution exactly: an element's {e home}
     is the PE of the block containing its first access in sequential
     (iteration, statement, write-before-reads) order, and every later
@@ -52,7 +60,7 @@ type verdict = {
 type t = {
   nest : Cf_loop.Nest.t;
   nprocs : int;
-  theorems : verdict list;  (** one per {!Strategy.all}, in order *)
+  search_radius : int option;  (** the radius the plan was made with *)
   comm_free : bool;
       (** Theorem 1 grants parallelism — the plan below is exact and
           has zero predicted volume *)
@@ -75,32 +83,19 @@ val candidates : ?search_radius:int -> Cf_loop.Nest.t -> candidate list
     flow-dependence witnesses, each axis line and hyperplane slab, and
     the zero space (blockless — every iteration its own block). *)
 
-val estimate_partition : placement:(int -> int) -> Coset.t -> estimate
-(** Predicted volume of an explicit partition under [placement] (block
-    id to PE), by one pass over the iteration space in execution order
-    applying the first-touch home rule.  Exact for
-    {!Cf_exec.Parexec.execute_fallback} on a [`Service]-mode machine
-    with the same placement. *)
-
 val estimate : nprocs:int -> Cf_loop.Nest.t -> Subspace.t -> estimate
-(** [estimate_partition] of [P_Ψ] under the cyclic placement on
-    [nprocs] PEs.  Raises [Invalid_argument] when the subspace's
-    ambient dimension differs from the nest depth. *)
+(** Predicted volume of [P_Ψ] under the cyclic placement on [nprocs]
+    PEs, by one pass over the iteration space in execution order
+    applying the first-touch home rule — the estimator {!plan} ranks
+    its candidates with.  Exact for {!Cf_exec.Parexec.execute_fallback}
+    on a [`Service]-mode machine with the same placement.  Raises
+    [Invalid_argument] when the subspace's ambient dimension differs
+    from the nest depth. *)
 
-val plan :
-  ?search_radius:int ->
-  ?exact:Cf_dep.Exact.result ->
-  ?nprocs:int ->
-  Cf_loop.Nest.t ->
-  t
-(** The fallback plan ([nprocs] defaults to 4).  Runs every theorem
-    (skipping exact analysis on spaces larger than the pipeline's
-    enumeration limit), computing each theorem's space once.  [exact],
-    the exact analysis of this same [nest] when the caller already has
-    it, saves recomputing it; it is used only under the enumeration
-    limit, so the verdicts are the same with or without it.  When
-    Theorem 1 grants parallelism the exact
-    [Ψ] is the single candidate (zero volume by construction),
+val plan : ?search_radius:int -> ?nprocs:int -> Cf_loop.Nest.t -> t
+(** The fallback plan ([nprocs] defaults to 4).  When Theorem 1
+    grants parallelism the exact [Ψ] is the single candidate (zero
+    volume by construction),
     otherwise all {!candidates} are evaluated and ranked.  The choice
     is the best-ranked candidate that yields at least two blocks when
     one exists — a single-block "plan" is just sequential execution
@@ -108,6 +103,12 @@ val plan :
     iteration space and every array uniformly generated (the theorem
     machinery's own precondition); raises [Invalid_argument]
     otherwise. *)
+
+val verdicts : t -> verdict list
+(** One verdict per {!Strategy.all}, in order, for the planned nest
+    under the plan's search radius, computed on each call.  Exact
+    analysis (Theorems 3 and 4) is skipped on spaces larger than the
+    pipeline's enumeration limit. *)
 
 val servable : t -> bool
 (** The chosen partition has at least two blocks: executing it spreads

@@ -115,7 +115,7 @@ let explain_fallback (mc : Cf_mincomm.Mincomm.t) =
                   (Cf_core.Strategy.to_string v.strategy);
             }
         | Some _ -> None)
-      mc.theorems
+      (Cf_mincomm.Mincomm.verdicts mc)
   in
   let chosen =
     {

@@ -99,7 +99,7 @@ let plan_serve ?(obs = Cf_obs.Trace.null) ?strategy ?basis ?search_radius
   else begin
     let mc =
       Cf_obs.Trace.span obs ~cat:"plan" "fallback-plan" (fun () ->
-          Cf_mincomm.Mincomm.plan ?search_radius ?exact:t.exact ~nprocs nest)
+          Cf_mincomm.Mincomm.plan ?search_radius ~nprocs nest)
     in
     let space = mc.Cf_mincomm.Mincomm.choice.Cf_mincomm.Mincomm.space in
     Log.debug (fun m ->

@@ -107,7 +107,8 @@ val plan_serve :
 (** [plan] first; on parallelism 0, one extra [fallback-plan] obs span
     covers the candidate search and volume estimation ([nprocs],
     default 4, sizes the placement the volumes are predicted for).  The
-    fallback tier reuses [plan]'s exact analysis when there is one. *)
+    fallback tier computes no theorem verdicts; {!Cf_mincomm.Mincomm.verdicts}
+    does when a report asks. *)
 
 val plan_normalized :
   ?obs:Cf_obs.Trace.t ->

@@ -309,8 +309,7 @@ let plan_response t ~serve ~digest (c : Service.completion) =
        Fallback plans are recomputed per request and never journaled —
        they are not part of the exact-plan cache. *)
     let mc =
-      Cf_mincomm.Mincomm.plan ?exact:plan.exact ~nprocs:t.config.nprocs
-        plan.nest
+      Cf_mincomm.Mincomm.plan ~nprocs:t.config.nprocs plan.nest
     in
     Metrics.incr t.meters.m_fallback;
     Protocol.ok

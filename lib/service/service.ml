@@ -59,6 +59,7 @@ type job = {
   search_radius : int option;
   deadline : float option;  (** absolute, [Unix.gettimeofday] scale *)
   submitted_at : float;
+  traced_at : float;  (** submission time on the trace clock *)
   ticket : ticket;
 }
 
@@ -207,14 +208,14 @@ let rec worker_loop t =
     let admit = breaker_admit t job.strategy in
     Condition.signal t.not_full;
     Mutex.unlock t.lock;
-    (* The queue-wait span is backdated against the trace clock by the
-       measured wall wait; exports sort by start time, so backdating is
-       safe. *)
+    (* The queue-wait span runs from the job's submission stamp to now,
+       both on the trace clock; exports sort by start time, so emitting
+       it late is safe. *)
     if Cf_obs.Trace.enabled t.obs then begin
-      let wait = Unix.gettimeofday () -. job.submitted_at in
       let tnow = Cf_obs.Trace.now t.obs in
       Cf_obs.Trace.complete t.obs ~lane:Cf_obs.Trace.planner_lane
-        ~cat:"service" ~ts:(tnow -. wait) ~dur:wait "queue-wait"
+        ~cat:"service" ~ts:job.traced_at ~dur:(tnow -. job.traced_at)
+        "queue-wait"
         ~args:
           [ ("strategy", Cf_obs.Trace.Str
                (Cf_core.Strategy.to_string job.strategy)) ]
@@ -351,6 +352,8 @@ let enqueue ~block ?(strategy = Cf_core.Strategy.Nonduplicate) ?search_radius
       search_radius;
       deadline = Option.map (fun s -> now +. s) timeout;
       submitted_at = now;
+      traced_at =
+        (if Cf_obs.Trace.enabled t.obs then Cf_obs.Trace.now t.obs else 0.);
       ticket;
     }
   in

@@ -246,6 +246,41 @@ let lifecycle_cases =
         check_bool "throughput positive" true (s.Service.throughput > 0.);
         ignore (Format.asprintf "%a" Service.pp_stats s);
         Service.shutdown svc);
+    Alcotest.test_case "queue-wait span is on the trace clock" `Quick
+      (fun () ->
+        (* A clock that advances one unit per reading: the span must
+           start at the submission's own reading, last at least one
+           tick, and end before the job's planning events. *)
+        let ticks = Atomic.make 0 in
+        let clock () = float_of_int (Atomic.fetch_and_add ticks 1) in
+        let obs = Cf_obs.Trace.make ~clock (Cf_obs.Trace.ring ~capacity:256) in
+        let svc = Service.create ~domains:1 ~cache:None ~obs () in
+        let sent = clock () in
+        (match Service.await (Service.submit svc l1) with
+        | Service.Done _ -> ()
+        | o -> Alcotest.failf "expected Done, got %a" Service.pp_outcome o);
+        Service.shutdown svc;
+        let events = Cf_obs.Trace.events obs in
+        let wait =
+          match
+            List.find_opt
+              (fun e -> e.Cf_obs.Trace.name = "queue-wait")
+              events
+          with
+          | Some e -> e
+          | None -> Alcotest.fail "no queue-wait span"
+        in
+        let start = wait.Cf_obs.Trace.ts
+        and dur = Option.value ~default:0. wait.Cf_obs.Trace.dur in
+        check_bool "starts on a whole tick" true (Float.is_integer start);
+        check_bool "starts after the submit call" true (start > sent);
+        check_bool "lasts at least one tick" true (dur >= 1.);
+        List.iter
+          (fun (e : Cf_obs.Trace.event) ->
+            if e != wait then
+              check_bool (e.name ^ " after the queue wait") true
+                (e.ts >= start +. dur))
+          events);
   ]
 
 (* --- Resilience: supervisor restarts, circuit breaker, retry. --- *)
